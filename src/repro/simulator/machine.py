@@ -30,17 +30,11 @@ Stats are bit-identical to per-cycle stepping; attaching a probe
 disables skipping (unless ``probe_coarse`` opts into one observation per
 jump).
 
-**This class is the reference core.** The flat-array fast core
-(:mod:`repro.simulator.fastcore`, DESIGN.md §15, selected via
-``MachineConfig.backend``) subclasses it and *transcribes* the per-cycle
-pipeline below — resteer ordering, RNG draw sequence, counter update
-order, telemetry emission points — into an allocation-free loop over
-preallocated arrays. Any semantic edit here (a new counter, a reordered
-draw, a moved ``tel.emit``) must be mirrored there in the same PR; the
-golden tests, the differential fuzzer
-(``tests/test_fastcore_differential.py``), and the stats-parity lint
-rule will each catch a divergence, but the lockstep is maintained by
-hand.
+**This class is the only simulation core.** The golden tests
+(``tests/test_golden_stats.py`` and ``tests/test_golden_grid.py``) pin
+its full stats over a grid of cells, and the stats-parity lint rule
+checks that the fast-forward path updates every counter the per-cycle
+path does.
 """
 
 from __future__ import annotations

@@ -6,13 +6,6 @@ per-cycle reference implementation. Any change to simulation semantics —
 including a bug in the event-horizon fast path, which is ON by default
 in these runs — trips these comparisons field-by-field.
 
-Every cell runs under **both** simulation cores (``backend="ref"`` and
-``backend="fast"``): the flat-array core's contract is bit-identical
-stats, so the same goldens pin both implementations. The backend is
-pinned via :class:`MachineConfig` in each parametrization — never via
-``REPRO_BACKEND``, which ``tests/conftest.py`` strips from the
-environment so an ambient override can't silently retarget these runs.
-
 If a *deliberate* modelling change invalidates them, regenerate with::
 
     PYTHONPATH=src python -c "
@@ -26,7 +19,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulator.config import MachineConfig
 from repro.simulator.runner import run_benchmark
 
 GOLDEN = [
@@ -144,18 +136,12 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["ref", "fast"])
 @pytest.mark.parametrize(
     "bench,policy,seed,instructions,warmup,want", GOLDEN,
     ids=["%s-%s-s%d" % (b, p, s) for b, p, s, _, _, _ in GOLDEN])
-def test_golden_stats(bench, policy, seed, instructions, warmup, want,
-                      backend):
-    # the backend is pinned through the config (never the environment) so
-    # each parametrization is guaranteed to exercise the core it names
-    config = MachineConfig(backend=backend)
+def test_golden_stats(bench, policy, seed, instructions, warmup, want):
     stats = run_benchmark(bench, policy, instructions=instructions,
-                          warmup=warmup, seed=seed, config=config,
-                          use_cache=False)
+                          warmup=warmup, seed=seed, use_cache=False)
     got = stats.to_dict()
     assert got == want, {
         k: (want.get(k), got.get(k))

@@ -34,6 +34,30 @@ class TestConfigHash:
         assert (manifest_mod.config_hash(None)
                 != manifest_mod.config_hash(MachineConfig(btb_entries=4096)))
 
+    def test_every_field_is_part_of_the_run_key(self):
+        # a config field left out of the run key would let two cells
+        # with one key carry different config_hash labels
+        from dataclasses import fields
+
+        from repro.simulator.cache import run_key
+        from repro.simulator.policies import get_policy
+
+        def key(cfg):
+            return run_key("noop", get_policy("baseline"), 1000, 100, 1, cfg)
+
+        default = MachineConfig()
+        for f in fields(MachineConfig):
+            value = getattr(default, f.name)
+            if isinstance(value, str):
+                changed = default.scaled(**{f.name: value + "x"})
+            elif isinstance(value, (int, float)):
+                changed = default.scaled(**{f.name: value + 1})
+            else:
+                continue
+            assert key(changed) != key(default), f.name
+            assert (manifest_mod.config_hash(changed)
+                    != manifest_mod.config_hash(default)), f.name
+
 
 class TestSummary:
     def test_counts(self):
