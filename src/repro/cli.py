@@ -45,16 +45,22 @@ Commands:
 
 ``run``, ``suite``, and ``figure`` accept ``--store DIR`` (or the
 ``REPRO_STORE`` env var) to read and write the same durable store the
-server uses, so batch and served work share one result set. ``bench``
-deliberately has no such flag — scores must time real simulations.
+server uses, so batch and served work share one result set. While a
+command runs, its ``--store`` is exported as ``REPRO_STORE``, so the
+trace registry, the figure drivers and pool children resolve the same
+store: a trace ingested by one ``repro run`` is a stored blob for the
+next. ``bench`` deliberately has no such flag — scores must time real
+simulations.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.simulator.policies import POLICIES, get_policy
 from repro.simulator.runner import (
@@ -524,14 +530,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """``repro figure``: regenerate paper artifacts."""
-    import os
-
     if args.jobs is not None:
         # the figure drivers read REPRO_JOBS through experiments.common
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.store is not None:
-        # likewise, drivers resolve the store via the REPRO_STORE env
-        os.environ["REPRO_STORE"] = args.store
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         module = importlib.import_module(FIGURES[name])
@@ -594,7 +595,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
 def _cmd_trace_run(args: argparse.Namespace) -> int:
     """``repro trace run``: simulate with telemetry, export both formats."""
     import json
-    import os
 
     from repro.telemetry import TelemetrySession, export_recorder
     from repro.telemetry.recorder import DEFAULT_CAPACITY
@@ -746,8 +746,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: run the simulation job server until drained."""
-    import os
-
     from repro.service import server as service_server
     from repro.simulator import cache as result_cache
 
@@ -1124,10 +1122,33 @@ COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _exported_store(path: Optional[str]) -> Iterator[None]:
+    """Export ``--store`` as ``REPRO_STORE`` while a command runs.
+
+    Code that takes no store argument (the trace registry's blob
+    lookup, the figure drivers, pool children) reads the env var, so it
+    then uses the command's store.  The previous value is restored.
+    """
+    if not path:
+        yield
+        return
+    before = os.environ.get("REPRO_STORE")
+    os.environ["REPRO_STORE"] = path
+    try:
+        yield
+    finally:
+        if before is None:
+            os.environ.pop("REPRO_STORE", None)
+        else:
+            os.environ["REPRO_STORE"] = before
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point: run with env-controlled budgets and print."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    with _exported_store(getattr(args, "store", None)):
+        return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

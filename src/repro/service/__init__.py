@@ -23,34 +23,10 @@ The serving layer above the parallel suite runner (DESIGN.md §13):
 Layering: ``service`` sits above ``simulator`` (it reuses the runner
 internals and the result-cache keys) and below nothing — no simulation
 or model code may import it (enforced by ``repro lint``).
+
+The package root re-exports nothing: import the submodule you need.
+``repro.service.store`` is imported by every trace load and every
+batch entry point that takes ``--store``, so it must not pay for the
+HTTP stack (``asyncio``, ``http.client``) that the server, client and
+cluster modules load.
 """
-
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.cluster import (
-    Coordinator,
-    HashRing,
-    WorkerNode,
-    run_worker,
-    serve_coordinator,
-)
-from repro.service.jobs import Job, JobState, execute_cell
-from repro.service.server import DEFAULT_PORT, SimulationServer, serve
-from repro.service.store import ResultStore, store_from_env
-
-__all__ = [
-    "DEFAULT_PORT",
-    "Coordinator",
-    "HashRing",
-    "Job",
-    "JobState",
-    "ResultStore",
-    "ServiceClient",
-    "ServiceError",
-    "SimulationServer",
-    "WorkerNode",
-    "execute_cell",
-    "run_worker",
-    "serve",
-    "serve_coordinator",
-    "store_from_env",
-]

@@ -37,6 +37,7 @@ lookup.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -158,15 +159,24 @@ class ResultStore:
         return self.blob_dir / digest[:2] / (digest + ".json")
 
     def _write_blob(self, payload) -> str:
-        """Write a JSON payload content-addressed; returns its digest."""
+        """Write a JSON payload content-addressed; returns its digest.
+
+        An existing blob file is kept only when it already holds exactly
+        these bytes; a corrupt or tampered one is replaced.
+        """
         digest = canonical_digest(payload)
+        text = json.dumps(payload, sort_keys=True)
         path = self._blob_path(digest)
-        if path.exists():  # identical content already stored
-            return digest
+        try:
+            with open(path) as fh:
+                if fh.read() == text:  # identical content already stored
+                    return digest
+        except (OSError, ValueError):
+            pass  # absent or unreadable: (re)write it
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".%d.tmp" % os.getpid())
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(text)
         tmp.replace(path)
         return digest
 
@@ -334,7 +344,14 @@ class ResultStore:
         return digest, not existed
 
     def get_trace(self, digest: str) -> Optional[Dict[str, object]]:
-        """Trace blob payload by digest (None on miss); bumps LRU clock."""
+        """Trace blob payload by digest; bumps LRU clock.
+
+        None on a miss, and also when the blob file does not digest to
+        its name (torn, corrupt or tampered): a trace blob names the
+        workload every run key is computed over, so a wrong one must
+        never be simulated.  The caller re-ingests, and the re-ingest's
+        :meth:`put_trace` repairs the file.
+        """
         with self._lock:
             row = self._db.execute(
                 "SELECT 1 FROM traces WHERE digest = ?",
@@ -346,7 +363,19 @@ class ResultStore:
                 self._db.commit()
         if row is None:
             return None
-        return self._read_blob(digest)
+        try:
+            with open(self._blob_path(digest), "rb") as fh:
+                data = fh.read()
+            payload = json.loads(data)
+        except (OSError, ValueError):
+            return None
+        # a blob this store wrote is the canonical JSON text itself, so
+        # hashing the bytes is the cheap check; re-digesting the decoded
+        # payload accepts any other spelling of the same content
+        if (hashlib.sha1(data).hexdigest() != digest
+                and canonical_digest(payload) != digest):
+            return None
+        return payload
 
     def find_trace(self, source_sha: Optional[str] = None,
                    name: Optional[str] = None

@@ -36,15 +36,19 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import config_from_payload
 from repro.simulator.manifest import config_hash
 from repro.simulator.policies import get_policy
 from repro.simulator.runner import DEFAULT_RETRIES, execute_cells, resolve_jobs
 from repro.simulator.stats import SimulationStats
 from repro.sweeps.plan import PlanCell, SweepPlan
+
+if TYPE_CHECKING:
+    # the HTTP client loads asyncio and http.client; a local sweep never
+    # needs them, so the client module is imported only with a client
+    from repro.service.client import ServiceClient
 
 __all__ = ["SweepReport", "run_sweep", "sweep_state_path", "load_state"]
 
@@ -194,6 +198,8 @@ class _DashFeed:
             self._slot_totals[slot] = self._slot_totals.get(slot, 0) + 1
         if client is None:
             return
+        from repro.service.client import ServiceError
+
         try:
             self.sweep_id = client.register_sweep(
                 name=plan.name, plan_digest=plan.digest,
@@ -218,6 +224,8 @@ class _DashFeed:
                 slot["failed"] += 1
             else:
                 slot["done"] += 1
+        from repro.service.client import ServiceError
+
         try:
             self.client.sweep_progress(self.sweep_id, counts=report.counts,
                                        grid=grid, state=state)
@@ -288,6 +296,8 @@ def _run_service(dirty: List[PlanCell], report: SweepReport,
                  feed: _DashFeed, checkpoint: Callable[[], None],
                  verbose: bool) -> None:
     """Submit dirty cells to a running server, bounded in-flight."""
+    from repro.service.client import ServiceError
+
     queue = list(dirty)
     in_flight: Dict[str, PlanCell] = {}  # job id -> cell
     while queue or in_flight:

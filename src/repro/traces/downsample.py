@@ -85,7 +85,11 @@ def downsample_events(
             "budget and window must be positive (budget=%d window=%d)"
             % (budget, window),
             category="budget-too-small")
-    instr = [estimate_instructions(ev, isize) for ev in events]
+    # estimate_instructions inlined: this runs once per raw event
+    step = max(1, isize)
+    cap = MAX_BLOCK_INSTRUCTIONS
+    instr = [max(1, min(cap, max(0, end - start) // step + 1))
+             for start, end, _size, _taken, _target, _kind in events]
     total = sum(instr)
     if total <= budget:
         report = DownsampleReport(

@@ -52,6 +52,8 @@ from repro.traces.schema import (
 from repro.traces.synthesize import TraceWorkload, synthesize
 from repro.utils import canonical_digest
 
+_new_tuple = tuple.__new__
+
 BLOB_SCHEMA = "repro-xtrace-blob"
 BLOB_VERSION = 1
 
@@ -86,7 +88,14 @@ def blob_payload(events: List[BlockEvent], isize: int) -> Dict[str, object]:
 
 
 def events_from_blob(payload: Dict[str, object]) -> Tuple[List[BlockEvent], int]:
-    """Decode a blob payload back into ``(events, isize)``."""
+    """Decode a blob payload back into ``(events, isize)``.
+
+    A payload that is not a well-formed blob raises
+    :class:`TraceIngestError`, never a bare ``IndexError`` or
+    ``TypeError``: each row must be five ints ``[start, end, size,
+    taken, kind_index]`` with ``0 <= start <= end``, ``size > 0``,
+    ``taken`` 0 or 1 and ``kind_index`` a :data:`RECORD_KINDS` index.
+    """
     if (not isinstance(payload, dict)
             or payload.get("schema") != BLOB_SCHEMA):
         raise TraceIngestError("payload is not a %s blob" % BLOB_SCHEMA)
@@ -94,12 +103,38 @@ def events_from_blob(payload: Dict[str, object]) -> Tuple[List[BlockEvent], int]
         raise TraceIngestError(
             "blob version %r unsupported" % (payload.get("version"),),
             category="unsupported-version")
-    isize = int(payload.get("isize", DEFAULT_ISIZE))  # type: ignore[arg-type]
-    events = [
-        BlockEvent(start=row[0], end=row[1], size=row[2],
-                   taken=bool(row[3]), target=0, kind=RECORD_KINDS[row[4]])
-        for row in payload["events"]  # type: ignore[union-attr]
-    ]
+    isize = payload.get("isize", DEFAULT_ISIZE)
+    if type(isize) is not int or isize <= 0:
+        raise TraceIngestError(
+            "blob 'isize' must be a positive integer, got %r" % (isize,),
+            category="bad-header-field")
+    rows = payload.get("events")
+    if type(rows) is not list:
+        raise TraceIngestError(
+            "blob 'events' must be a list, got %s" % type(rows).__name__,
+            category="malformed-record")
+    if not rows:
+        raise TraceIngestError("blob holds zero events",
+                               category="empty-trace")
+    kinds = RECORD_KINDS
+    nkinds = len(kinds)
+    events: List[BlockEvent] = []
+    append = events.append
+    for i, row in enumerate(rows):
+        if type(row) is list and len(row) == 5:
+            start, end, size, taken, kind = row
+            if (type(start) is int and type(end) is int
+                    and type(size) is int and type(taken) is int
+                    and type(kind) is int and 0 <= start <= end
+                    and size > 0 and 0 <= taken <= 1 and 0 <= kind < nkinds):
+                append(_new_tuple(BlockEvent, (start, end, size, taken == 1,
+                                               0, kinds[kind])))
+                continue
+        raise TraceIngestError(
+            "blob event %d is not [start, end, size, taken 0|1, "
+            "kind 0..%d] with 0 <= start <= end and size > 0: %r"
+            % (i, nkinds - 1, row),
+            category="malformed-record")
     return events, isize
 
 
@@ -185,9 +220,11 @@ def load_workload(name: str, digest: str,
     """Materialise a :class:`TraceWorkload` for a known trace digest.
 
     Resolution order: store blob by digest, then re-ingest from *path*.
-    The resulting blob digest must equal *digest* — a mismatch means the
-    source drifted out from under its registration (category
-    ``bundle-drift``).
+    A stored blob that does not digest to *digest* counts as a miss
+    (:meth:`ResultStore.get_trace` re-digests it), and the re-ingest's
+    ``put_trace`` overwrites it.  The re-ingested blob digest must equal
+    *digest* — a mismatch means the source drifted out from under its
+    registration (category ``bundle-drift``).
     """
     payload: Optional[Dict[str, object]] = None
     if store is not None and digest:

@@ -19,6 +19,14 @@ synthesising the layout — happens once per process, memoized, the
 first time a layout or walker is actually needed.  A resolved blob
 whose digest disagrees with the pinned one fails with category
 ``bundle-drift`` rather than silently simulating a different workload.
+
+The store is the one named by ``REPRO_STORE``.  Every CLI command
+that takes ``--store`` exports it under that name while it runs, so a
+trace ingested by one cell is a stored blob for every later cell on the
+same store: a cold ingest happens once per store, not once per process.  A stored blob that does
+not digest to its name is a miss (see
+:meth:`~repro.service.store.ResultStore.get_trace`); the re-ingest
+then repairs it.
 """
 
 from __future__ import annotations
@@ -110,8 +118,9 @@ def _register(name: str, spec: Dict[str, object],
         return get_workload(_name).layout
 
     def walker_factory(layout, seed: int, _name: str = name):
-        return TraceReplayer(layout, get_workload(_name).replay_text,
-                             loop=True, verify=False)
+        wl = get_workload(_name)
+        return TraceReplayer.from_records(layout, wl.header, wl.records,
+                                          loop=True, verify=False)
 
     _SPECS[name] = dict(spec)
     register_external_benchmark(name, profile, layout_builder,

@@ -65,8 +65,7 @@ category                      meaning
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, IO, Iterable, List, Optional, Tuple
+from typing import Dict, IO, Iterable, List, NamedTuple, Optional, Tuple
 
 SCHEMA_NAME = "repro-xtrace"
 SCHEMA_VERSION = 1
@@ -143,9 +142,13 @@ class TraceStreamError(TraceIngestError):
     category = "inconsistent-flow"
 
 
-@dataclass(frozen=True)
-class BranchRecord:
-    """One retired branch, normalised from any input format."""
+class BranchRecord(NamedTuple):
+    """One retired branch, normalised from any input format.
+
+    A ``NamedTuple`` rather than a frozen dataclass: a trace holds tens
+    of thousands of records, and a tuple is built without a Python-level
+    ``__init__`` (see :func:`read_jsonl`).
+    """
 
     pc: int
     taken: bool
@@ -159,8 +162,7 @@ class BranchRecord:
         return self.target if self.taken else self.pc + self.size
 
 
-@dataclass(frozen=True)
-class BlockEvent:
+class BlockEvent(NamedTuple):
     """One dynamic basic-block execution derived from the record stream.
 
     The block spans ``[start, end]`` where ``end`` is the terminating
@@ -269,31 +271,141 @@ def validate_record(obj: object, isize: int, lineno: int) -> BranchRecord:
     return BranchRecord(pc=pc, taken=taken, target=target, size=size, kind=kind)
 
 
+#: Record lines decoded per ``json.loads`` call in :func:`read_jsonl`.
+#: One call per line spends more on call overhead than on parsing; one
+#: call for the whole file holds every decoded dict alive at once and
+#: raises peak memory.  A chunk of ~1K lines keeps both small.
+DECODE_CHUNK = 1024
+
+#: Keys a record may carry and still take the inline fast check.
+_RECORD_KEYS = frozenset(("pc", "taken", "size", "target", "kind"))
+_KIND_SET = frozenset(RECORD_KINDS)
+_new_tuple = tuple.__new__
+
+
+def _decode_lines(linenos: List[int], lines: List[str],
+                  isize: int) -> List[BranchRecord]:
+    """Records of record lines decoded one ``json.loads`` per line."""
+    records = []
+    for lineno, line in zip(linenos, lines):
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            raise TraceRecordError("line is not JSON", lineno=lineno)
+        records.append(validate_record(obj, isize, lineno))
+    return records
+
+
+def _bulk_decode(lines: List[str]) -> Optional[list]:
+    """Decode a chunk of record lines with one ``json.loads``.
+
+    The lines are joined into ``"[" + "\\n,".join(lines) + "]"``.  The
+    array's values are the lines' values, one each, when
+
+    * every line starts with ``{`` and holds no newline of its own,
+    * the array holds as many values as there are lines, and
+    * every value is a dict with no dict or list values (the caller
+      checks this one).
+
+    A strict decoder rejects a raw newline inside a string, so every
+    separator lies outside strings; a ``{`` cannot follow a comma inside
+    a dict; and without lists, no value can run on across a separator.
+    Returns None when the first two conditions fail or the text does
+    not parse; the caller then decodes line by line.
+    """
+    joined = "\n,".join(lines)
+    n = len(lines)
+    if (joined[:1] != "{" or joined.count("\n") != n - 1
+            or joined.count("\n,{") != n - 1):
+        return None
+    try:
+        objs = json.loads("[" + joined + "]")
+    except ValueError:
+        return None
+    return objs if len(objs) == n else None
+
+
+def _decode_records(linenos: List[int], lines: List[str],
+                    isize: int) -> List[BranchRecord]:
+    """Records of one chunk of record lines, first error first.
+
+    The common record shape (int ``pc``, bool ``taken``, int ``size``,
+    a known ``kind``, an int ``target`` exactly when taken, no other
+    keys) is accepted inline.  Every other record goes to
+    :func:`validate_record`, so error classes, categories and line
+    numbers are those of a line-by-line decode.
+    """
+    objs = _bulk_decode(lines)
+    if objs is None:
+        return _decode_lines(linenos, lines, isize)
+    records: List[Optional[BranchRecord]] = []
+    append = records.append
+    slow = False
+    for obj in objs:
+        if type(obj) is dict and obj.keys() <= _RECORD_KEYS:
+            pc = obj.get("pc")
+            taken = obj.get("taken")
+            size = obj.get("size", isize)
+            kind = obj.get("kind", "unknown")
+            if (type(pc) is int and pc >= 0 and type(taken) is bool
+                    and type(size) is int and size > 0
+                    and type(kind) is str and kind in _KIND_SET):
+                if taken:
+                    target = obj.get("target")
+                    if type(target) is int and target >= 0:
+                        append(_new_tuple(BranchRecord,
+                                          (pc, taken, target, size, kind)))
+                        continue
+                elif "target" not in obj:
+                    append(_new_tuple(BranchRecord,
+                                      (pc, taken, 0, size, kind)))
+                    continue
+        append(None)
+        slow = True
+    if not slow:
+        return records  # type: ignore[return-value]
+    for obj, rec in zip(objs, records):
+        if rec is None and (type(obj) is not dict or any(
+                type(v) is dict or type(v) is list for v in obj.values())):
+            # the one-value-per-line mapping is unproven: decode per line
+            return _decode_lines(linenos, lines, isize)
+    return [validate_record(obj, isize, lineno) if rec is None else rec
+            for obj, rec, lineno in zip(objs, records, linenos)]
+
+
 def read_jsonl(lines: Iterable[str]) -> Tuple[Dict[str, object], List[BranchRecord]]:
     """Parse JSONL text lines into ``(header_meta, records)``.
 
     The first non-empty, non-comment line must be the header.  Lines
-    starting with ``#`` are comments.
+    starting with ``#`` are comments.  Record lines are decoded
+    :data:`DECODE_CHUNK` at a time (see :func:`_decode_records`); the
+    result and every error are those of a line-by-line decode.
     """
     meta: Optional[Dict[str, object]] = None
     isize = DEFAULT_ISIZE
     records: List[BranchRecord] = []
+    linenos: List[int] = []
+    chunk: List[str] = []
     lineno = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
+            continue
+        if meta is not None:
+            linenos.append(lineno)
+            chunk.append(line)
+            if len(chunk) == DECODE_CHUNK:
+                records += _decode_records(linenos, chunk, isize)
+                linenos, chunk = [], []
             continue
         try:
             obj = json.loads(line)
         except ValueError:
-            if meta is None:
-                raise TraceFormatError("first line is not JSON", lineno=lineno)
-            raise TraceRecordError("line is not JSON", lineno=lineno)
-        if meta is None:
-            meta = validate_header(obj, lineno=lineno)
-            isize = int(meta.get("isize", DEFAULT_ISIZE))  # type: ignore[arg-type]
-            continue
-        records.append(validate_record(obj, isize, lineno))
+            raise TraceFormatError("first line is not JSON", lineno=lineno)
+        meta = validate_header(obj, lineno=lineno)
+        isize = int(meta.get("isize", DEFAULT_ISIZE))  # type: ignore[arg-type]
+    if chunk:
+        records += _decode_records(linenos, chunk, isize)
     if meta is None:
         raise TraceFormatError("empty input: no header line",
                                lineno=lineno or None)
@@ -335,15 +447,15 @@ def derive_block_events(records: List[BranchRecord]) -> List[BlockEvent]:
         raise TraceSchemaError("no records to derive blocks from",
                                category="empty-trace")
     events: List[BlockEvent] = []
+    append = events.append
     start = records[0].pc
-    for i, rec in enumerate(records):
-        if rec.pc < start:
+    for i, (pc, taken, target, size, kind) in enumerate(records):
+        if pc < start:
             raise TraceStreamError(
                 "record %d: branch pc 0x%x precedes its block start 0x%x "
-                "(previous record's flow-out)" % (i, rec.pc, start),
+                "(previous record's flow-out)" % (i, pc, start),
                 lineno=None)
-        events.append(BlockEvent(start=start, end=rec.pc, size=rec.size,
-                                 taken=rec.taken, target=rec.target,
-                                 kind=rec.kind))
-        start = rec.flow_out
+        append(_new_tuple(BlockEvent,
+                          (start, pc, size, taken, target, kind)))
+        start = target if taken else pc + size  # the record's flow_out
     return events

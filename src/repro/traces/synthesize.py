@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.traces.downsample import estimate_instructions
-from repro.traces.schema import BlockEvent
+from repro.traces.schema import BlockEvent, TraceIngestError
 from repro.utils import INSTRUCTION_SIZE, LINE_SIZE
 from repro.workloads.layout import BasicBlock, BranchKind, CodeLayout, Function
 from repro.workloads.profiles import WorkloadProfile
@@ -81,10 +81,21 @@ class TraceWorkload:
     name: str
     profile: TraceProfile
     layout: CodeLayout
-    replay_text: str
+    #: the loop-closed replay stream: ``(bid, taken, next_bid)`` records
+    #: under a ``REPRO-TRACE`` header, verified once at synthesis time
+    header: TraceHeader
+    records: List[Tuple[int, bool, int]]
     digest: str
     events: int
     instructions: int
+
+    @property
+    def replay_text(self) -> str:
+        """The replay stream in ``REPRO-TRACE`` text form."""
+        return "\n".join(
+            [self.header.line()] + ["%d %d %d" % (bid, 1 if taken else 0, nxt)
+                                    for bid, taken, nxt in self.records]
+        ) + "\n"
 
     def walker(self, loop: bool = True) -> TraceReplayer:
         """A fresh replayer over the synthesised stream.
@@ -92,8 +103,9 @@ class TraceWorkload:
         The stream was verified once at synthesis time, so per-machine
         construction skips re-verification.
         """
-        return TraceReplayer(self.layout, self.replay_text,
-                             loop=loop, verify=False)
+        return TraceReplayer.from_records(self.layout, self.header,
+                                          self.records, loop=loop,
+                                          verify=False)
 
 
 @dataclass
@@ -147,19 +159,19 @@ def synthesize(
 ) -> TraceWorkload:
     """Build a :class:`TraceWorkload` from a (downsampled) event stream."""
     if not events:
-        raise ValueError("cannot synthesize a layout from zero events")
+        raise TraceIngestError("cannot synthesize a layout from zero events",
+                               category="empty-trace")
 
     # -- gather per-site evidence (successor = next event, loop-closed) --
+    event_keys = [ev.key() for ev in events]
+    succ_keys = event_keys[1:] + event_keys[:1]
     sites: "OrderedDict[Tuple[int, int], _Site]" = OrderedDict()
-    for ev in events:
-        site = sites.get(ev.key())
+    for ev, key, succ in zip(events, event_keys, succ_keys):
+        site = sites.get(key)
         if site is None:
-            sites[ev.key()] = site = _Site(first=ev)
+            sites[key] = site = _Site(first=ev)
         site.count += 1
         site.hints[ev.kind] += 1
-    for i, ev in enumerate(events):
-        succ = events[(i + 1) % len(events)].key()
-        site = sites[ev.key()]
         if ev.taken:
             site.taken_succ[succ] += 1
         else:
@@ -276,11 +288,10 @@ def synthesize(
     layout.validate()
 
     # -- emit the loop-closed replay stream ------------------------------
-    out_lines = [TraceHeader(workload=name, seed=0,
-                             num_blocks=len(keys)).line()]
+    header = TraceHeader(workload=name, seed=0, num_blocks=len(keys))
+    records: List[Tuple[int, bool, int]] = []
     instructions = 0
-    for i, ev in enumerate(events):
-        key = ev.key()
+    for ev, key, succ in zip(events, event_keys, succ_keys):
         kind = kind_of[key]
         if kind is BranchKind.FALLTHROUGH:
             taken = False
@@ -288,15 +299,14 @@ def synthesize(
             taken = ev.taken
         else:
             taken = True  # TAKEN_KINDS (incl. promotions) always transfer
-        succ = events[(i + 1) % len(events)].key()
-        out_lines.append("%d %d %d" % (bid_of[key], 1 if taken else 0,
-                                       bid_of[succ]))
-        instructions += layout.blocks[bid_of[key]].num_instructions
-    replay_text = "\n".join(out_lines) + "\n"
+        bid = bid_of[key]
+        records.append((bid, taken, bid_of[succ]))
+        instructions += layout.blocks[bid].num_instructions
 
     # one full verification pass: synthesis must only ever emit streams
     # the replayer's strict mode accepts
-    TraceReplayer(layout, replay_text, loop=True, verify=True)
+    TraceReplayer.from_records(layout, header, records, loop=True,
+                               verify=True)
 
     overrides = dict(profile_overrides or {})
     profile = TraceProfile(
@@ -308,5 +318,5 @@ def synthesize(
         trace_instructions=instructions,
         **overrides)  # type: ignore[arg-type]
     return TraceWorkload(name=name, profile=profile, layout=layout,
-                         replay_text=replay_text, digest=digest,
+                         header=header, records=records, digest=digest,
                          events=len(events), instructions=instructions)

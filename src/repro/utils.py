@@ -69,13 +69,30 @@ def derive_rng(seed: int, stream: str) -> random.Random:
     return random.Random((seed * 0x9E3779B1 + h) & 0xFFFFFFFFFFFF)
 
 
+#: Exact types :func:`freeze` returns unchanged.
+_SCALARS = frozenset((int, str, float, bool, type(None)))
+
+
 def freeze(obj):
     """JSON-stable representation of dataclasses / dicts / scalars.
 
     Dataclasses become field-name dicts, dicts are key-sorted, tuples
     become lists — so two structurally equal values always serialize to
     the same JSON text regardless of construction order.
+
+    The JSON-native exact types are dispatched first, and scalar members
+    are copied without a recursive call: a trace blob holds ~60K ints.
+    Every other type (subclasses included) takes the general path below,
+    which gives the same output for the exact types too.
     """
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    if cls is list or cls is tuple:
+        return [v if type(v) in _SCALARS else freeze(v) for v in obj]
+    if cls is dict:
+        return {str(k): v if type(v) in _SCALARS else freeze(v)
+                for k, v in sorted(obj.items())}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: freeze(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

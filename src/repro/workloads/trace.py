@@ -128,15 +128,34 @@ class TraceReplayer:
         lines = text.read().splitlines()
         if not lines:
             raise TraceError("empty trace")
-        self.header = TraceHeader.parse(lines[0])
+        self._setup(layout, TraceHeader.parse(lines[0]),
+                    list(_parse_records(lines[1:])), loop, verify)
+
+    @classmethod
+    def from_records(cls, layout: CodeLayout, header: TraceHeader,
+                     records: List["tuple[int, bool, int]"],
+                     loop: bool = False,
+                     verify: bool = True) -> "TraceReplayer":
+        """A replayer over already-parsed ``(bid, taken, next_bid)`` records.
+
+        The same checks as the text constructor, without the text.  The
+        records list is shared, not copied: replay never mutates it.
+        """
+        replayer = cls.__new__(cls)
+        replayer._setup(layout, header, records, loop, verify)
+        return replayer
+
+    def _setup(self, layout: CodeLayout, header: TraceHeader,
+               records: List["tuple[int, bool, int]"], loop: bool,
+               verify: bool) -> None:
+        self.header = header
         if self.header.num_blocks != layout.num_blocks:
             raise TraceError(
                 "trace recorded against a %d-block layout, got %d blocks"
                 % (self.header.num_blocks, layout.num_blocks))
         self.layout = layout
         self.loop = loop
-        self._records: List["tuple[int, bool, int]"] = list(
-            _parse_records(lines[1:]))
+        self._records = records
         if not self._records:
             raise TraceError("trace has a header but no records")
         if verify:

@@ -1,9 +1,16 @@
 """Tests for repro.utils: address arithmetic, RNG, canonical hashing."""
 
 import dataclasses
+import json
 import math
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.simulator.config import MachineConfig
+from repro.traces.synthesize import TraceProfile
 
 from repro.utils import (
     INSTRUCTION_SIZE,
@@ -135,3 +142,76 @@ class TestCanonicalDigest:
 
     def test_freeze_sorts_dict_keys(self):
         assert list(freeze({"b": 1, "a": 2})) == ["a", "b"]
+
+
+def freeze_reference(obj):
+    """``freeze`` before exact-type dispatch, kept verbatim."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: freeze_reference(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): freeze_reference(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        return [freeze_reference(v) for v in obj]
+    return obj
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _IntTag(int):
+    """An int subclass: must take the general path, same output."""
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(allow_nan=True), st.builds(_IntTag, st.integers(-9, 9)))
+# one key type per dict: str keys do not sort against numbers
+_dict_keys = st.one_of(
+    st.lists(st.text(max_size=4), max_size=4),
+    st.lists(st.one_of(st.integers(-5, 5), st.floats(-5, 5), st.booleans()),
+             max_size=4))
+
+
+@st.composite
+def _dicts(draw, values):
+    keys = draw(_dict_keys)
+    return {k: draw(values) for k in keys}
+
+
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        _dicts(inner),
+        st.builds(_Pair, inner, inner),
+        st.builds(_Point, inner, inner),
+        st.builds(lambda digest, stall: TraceProfile(
+            name="t", trace_digest=digest, backend_stall_prob=stall),
+            st.text(max_size=8), st.floats(0, 1)),
+        st.builds(lambda depth: MachineConfig(ftq_depth=depth),
+                  st.integers(1, 64)),
+    ),
+    max_leaves=12)
+
+
+class TestFreezeEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_matches_reference(self, value):
+        def text(freezer):
+            try:
+                return json.dumps(freezer(value), sort_keys=True)
+            except TypeError as exc:  # unsortable keys: same failure
+                return "TypeError: %s" % exc
+
+        assert text(freeze) == text(freeze_reference)
+
+    def test_bundled_trace_profile_and_config(self):
+        for value in (TraceProfile(name="t", trace_digest="a" * 40),
+                      MachineConfig(), {"cfg": MachineConfig(),
+                                        "pair": (_Pair(1, 2.5), None)}):
+            assert freeze(value) == freeze_reference(value)
