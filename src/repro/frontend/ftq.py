@@ -2,8 +2,8 @@
 
 A FIFO of basic-block fetch targets produced by the IAG. Each entry
 remembers everything the later pipeline stages and the FEC classifier
-need: which lines the block spans, the per-line readiness from the FDIP
-prefetch, whether the block sits on a wrong path, how close behind a
+need: which lines the block spans, when the last of their FDIP fills
+completes, whether the block sits on a wrong path, how close behind a
 resteer it was enqueued, and the decode-starvation cycles it caused while
 parked at the head.
 """
@@ -11,7 +11,7 @@ parked at the head.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.branch.bpu import MispredictKind
 from repro.workloads.layout import BasicBlock
@@ -29,9 +29,9 @@ class FTQEntry:
     __slots__ = (
         "block", "lines", "enqueue_cycle", "is_wrong_path", "taken",
         "target_addr", "mispredict", "predicted_target", "resteer_kind",
-        "resteer_trigger_line", "entries_since_resteer", "line_ready",
-        "deferred_lines", "missed_lines", "pending_lines",
-        "starvation_cycles", "backend_starved", "ready_at",
+        "resteer_trigger_line", "entries_since_resteer", "deferred_lines",
+        "missed_lines", "pending_lines", "starvation_cycles",
+        "backend_starved", "ready_at",
     )
 
     def __init__(self, block: BasicBlock, lines: List[int],
@@ -62,8 +62,6 @@ class FTQEntry:
         self.resteer_kind = resteer_kind
         self.resteer_trigger_line = resteer_trigger_line
         self.entries_since_resteer = entries_since_resteer
-        #: per-line fill readiness recorded at FDIP-prefetch (enqueue) time
-        self.line_ready: Dict[int, int] = {}
         #: lines whose FDIP fill could not start (MSHRs exhausted); the
         #: IFU issues them as demand accesses when the entry reaches the
         #: head
@@ -77,22 +75,13 @@ class FTQEntry:
         self.starvation_cycles = starvation_cycles
         #: True if the back end drained (issue queue empty) during that wait
         self.backend_starved = backend_starved
-        #: running max of ``line_ready`` maintained by the machine's
-        #: FDIP/deferred-fill paths so decode and the event-horizon scan
-        #: read one int instead of recomputing ``max(line_ready.values())``
-        #: every cycle. Only meaningful for machine-built entries.
+        #: cycle the latest fill among the entry's fetched lines
+        #: completes (never before ``enqueue_cycle``), kept by the
+        #: machine's FDIP and deferred-fill paths: decode and the
+        #: event-horizon scan read this one int. Meaningless while
+        #: ``deferred_lines`` is non-empty — the IFU must issue those
+        #: before the entry can be ready.
         self.ready_at = enqueue_cycle
-
-    @property
-    def ready_cycle(self) -> int:
-        """Cycle at which every *initiated* line fill completes.
-
-        Meaningless while ``deferred_lines`` is non-empty — the IFU must
-        issue those before the entry can be considered ready.
-        """
-        if not self.line_ready:
-            return self.enqueue_cycle
-        return max(self.line_ready.values())
 
     @property
     def incurred_miss(self) -> bool:

@@ -67,6 +67,9 @@ DATA_LINE_BASE = 1 << 40
 #: hot-path copy for the inlined ``block.is_branch`` test
 _FALLTHROUGH = BranchKind.FALLTHROUGH
 
+#: verdict carried by every wrong-path FTQ entry
+_NO_MISPREDICT = MispredictKind.NONE
+
 
 @dataclass(**SLOTTED)
 class _Resteer:
@@ -105,11 +108,15 @@ class Machine:
             issue_width=cfg.pq_issue_width, mshr_reserve=cfg.pq_mshr_reserve)
         self.prefetcher = prefetcher if prefetcher is not None else NoPrefetcher()
         # skip the per-taken-branch observe_branch call entirely for
-        # prefetchers that inherit the base no-op (everything but PDIP)
+        # prefetchers that inherit the base no-op (everything but PDIP),
+        # and the per-entry FTQ-enqueue hook likewise (the FDIP baseline)
+        kind = type(self.prefetcher)
         self._observe_branch = (
             self.prefetcher.observe_branch
-            if type(self.prefetcher).observe_branch
-            is not Prefetcher.observe_branch else None)
+            if kind.observe_branch is not Prefetcher.observe_branch else None)
+        self._on_ftq_enqueue = (
+            self.prefetcher.on_ftq_enqueue
+            if kind.on_ftq_enqueue is not Prefetcher.on_ftq_enqueue else None)
         self.bpu = bpu if bpu is not None else BranchPredictionUnit(
             btb_entries=cfg.btb_entries, btb_assoc=cfg.btb_assoc,
             ras_depth=cfg.ras_depth, seed=seed)
@@ -298,7 +305,7 @@ class Machine:
             head = q[0]
             if head.deferred_lines:
                 return 0  # IFU retries deferred fills every cycle
-            ready = head.ready_at  # running max over line_ready
+            ready = head.ready_at  # latest fill among the head's lines
             if ready <= cycle:
                 return 0  # decode consumes the head this cycle
             if horizon is None or ready < horizon:
@@ -408,47 +415,131 @@ class Machine:
     # stage 2: IAG / FTQ fill (with FDIP prefetch)
     # ==================================================================
     def _iag_fill(self, cycle: int) -> None:
+        """Enqueue up to ``iag_blocks_per_cycle`` blocks into the FTQ.
+
+        One loop per block: pick it (the walker's correct path, judged by
+        the BPU, or the static wrong path after an undiscovered
+        mispredict), FDIP-access its lines, and enqueue it.
+
+        Lines that cannot allocate an MSHR are *deferred*: the entry still
+        enqueues (a real FTQ does not stall on cache back-pressure) and
+        the IFU issues the remaining fills as demand accesses when the
+        entry reaches the head.
+
+        Without an iTLB, ready L1 hits (the overwhelmingly common case)
+        are an inlined ``hierarchy.fetch_ready_hit`` with *batched*
+        counter updates: access counts and the LRU clock accumulate in
+        locals and are flushed before any full ``fetch_instruction``
+        call, so the interleaving leaves every counter exactly as
+        per-line calls would have. With an iTLB every line takes
+        ``fetch_instruction`` (a page walk delays hits too).
+        """
         if cycle < self._iag_stall_until:
             return
         ftq = self.ftq
         q = ftq._q
         depth = ftq.depth
-        next_entry = self._next_entry
-        fdip_access = self._fdip_access
-        finish_enqueue = self._finish_enqueue
+        if len(q) >= depth:
+            return  # most calls: the FTQ is full, skip the set-up below
+        layout = self.layout
+        blocks = layout.blocks
+        stats = self.stats
+        next_event = self.walker.next_event
+        predict_block = self.bpu.predict_block
+        hierarchy = self.hierarchy
+        fetch = hierarchy.fetch_instruction
+        l1i = hierarchy.l1i
+        state_get = l1i._lines.get if hierarchy.itlb is None else None
+        hit_ready = cycle + hierarchy._l1_hit
+        observe = self._observe_branch
+        on_enqueue = self._on_ftq_enqueue
+        resteer_kind = self._last_resteer_kind
+        resteer_trigger = self._last_resteer_trigger
+        since = self._entries_since_resteer
         for _ in range(self._iag_blocks):
             if len(q) >= depth:
-                return
-            entry = next_entry(cycle)
-            if entry is None:
-                return
-            fdip_access(entry, cycle)
-            finish_enqueue(entry, cycle)
-
-    def _next_entry(self, cycle: int) -> Optional[FTQEntry]:
-        wp = self._wrong_path
-        if wp is not None:
-            # inlined SpeculativePath.step (one call per wrong-path block)
-            cur = wp.current
-            if cur is None or wp.remaining <= 0:
-                return None  # wrong path dead-ended; wait for the resteer
-            block = self.layout.blocks[cur]
-            wp.remaining -= 1
-            wp.current = static_majority_successor(self.layout, block,
-                                                   wp.stack)
-            self.stats.wrong_path_blocks += 1
-            return FTQEntry(block, block.lines(), cycle, True)
-        event = self.walker.next_event()
-        block = event.block
-        entry = FTQEntry(block, block.lines(), cycle, False,
-                         event.taken, event.target_addr)
-        prediction = self.bpu.predict_block(block, event.taken,
-                                            event.target_addr)
-        entry.mispredict = prediction.mispredict
-        entry.predicted_target = prediction.predicted_target
-        if prediction.mispredict.is_resteer:
-            self._start_wrong_path(entry, prediction)
-        return entry
+                break
+            # -- pick the next block --------------------------------------
+            wp = self._wrong_path
+            if wp is not None:
+                # inlined SpeculativePath.step
+                cur = wp.current
+                if cur is None or wp.remaining <= 0:
+                    break  # wrong path dead-ended; wait for the resteer
+                since += 1
+                block = blocks[cur]
+                wp.remaining -= 1
+                wp.current = static_majority_successor(layout, block,
+                                                       wp.stack)
+                stats.wrong_path_blocks += 1
+                entry = FTQEntry(block, block.lines(), cycle, True, False, 0,
+                                 _NO_MISPREDICT, None, resteer_kind,
+                                 resteer_trigger, since)
+                transfers = True
+            else:
+                since += 1
+                event = next_event()
+                block = event.block
+                taken = event.taken
+                target_addr = event.target_addr
+                prediction = predict_block(block, taken, target_addr)
+                mispredict = prediction.mispredict
+                entry = FTQEntry(block, block.lines(), cycle, False, taken,
+                                 target_addr, mispredict,
+                                 prediction.predicted_target, resteer_kind,
+                                 resteer_trigger, since)
+                if mispredict.is_resteer:
+                    self._start_wrong_path(entry, prediction)
+                transfers = taken
+            # -- FDIP access ----------------------------------------------
+            lines = entry.lines
+            ready_at = cycle
+            clock = l1i._clock
+            hits = 0
+            for i, line in enumerate(lines):
+                if state_get is not None:
+                    state = state_get(line)
+                    if (state is not None and state.ready_cycle <= cycle
+                            and not state.unused_prefetch):
+                        clock += 1
+                        state.lru = clock
+                        hits += 1
+                        if hit_ready > ready_at:
+                            ready_at = hit_ready
+                        continue
+                    if hits:
+                        l1i._clock = clock
+                        l1i.accesses += hits
+                        hierarchy.l1i_demand_accesses += hits
+                        hits = 0
+                result = fetch(line, cycle)
+                if result.stalled_mshr:
+                    entry.deferred_lines.extend(lines[i:])
+                    break
+                clock = l1i._clock
+                ready = result.ready_cycle
+                if ready > ready_at:
+                    ready_at = ready
+                if result.l1_miss:
+                    entry.missed_lines.append(line)
+                elif result.pending_hit:
+                    entry.pending_lines.append(line)
+            if hits:
+                l1i._clock = clock
+                l1i.accesses += hits
+                hierarchy.l1i_demand_accesses += hits
+            entry.ready_at = ready_at
+            # -- enqueue (inlined FTQ.push; capacity checked above) -------
+            q.append(entry)
+            ftq.enqueues += 1
+            # inlined block.is_branch / line_of(block.branch_pc)
+            if (observe is not None and transfers
+                    and block.kind is not _FALLTHROUGH):
+                observe((block.addr + (block.num_instructions - 1)
+                         * INSTRUCTION_SIZE) >> LINE_SHIFT)
+            if on_enqueue is not None:
+                on_enqueue(entry, cycle)
+        self._entries_since_resteer = since
 
     def _start_wrong_path(self, entry: FTQEntry,
                           prediction: BlockPrediction) -> None:
@@ -463,100 +554,6 @@ class Machine:
         self._wrong_path = SpeculativePath(
             self.layout, start_bid, self.walker.snapshot_stack(),
             max_blocks=self.config.wrongpath_max_blocks)
-
-    def _fdip_access(self, entry: FTQEntry, cycle: int) -> None:
-        """FDIP-prefetch the entry's lines.
-
-        Lines that cannot allocate an MSHR are *deferred*: the entry still
-        enqueues (a real FTQ does not stall on cache back-pressure) and
-        the IFU issues the remaining fills as demand accesses when the
-        entry reaches the head.
-        """
-        lines = entry.lines
-        hierarchy = self.hierarchy
-        fetch = hierarchy.fetch_instruction
-        line_ready = entry.line_ready
-        ready_at = entry.ready_at
-        if hierarchy.itlb is None:
-            # Inlined hierarchy.fetch_ready_hit with *batched* counter
-            # updates: ready L1 hits (the overwhelmingly common case)
-            # accumulate access counts and the LRU clock in locals,
-            # flushed before any full fetch_instruction call so the
-            # interleaving leaves every counter exactly as the
-            # per-line calls would have.
-            l1i = hierarchy.l1i
-            state_get = l1i._lines.get
-            hit_ready = cycle + hierarchy._l1_hit
-            clock = l1i._clock
-            hits = 0
-            for i, line in enumerate(lines):
-                state = state_get(line)
-                if (state is not None and state.ready_cycle <= cycle
-                        and not state.unused_prefetch):
-                    clock += 1
-                    state.lru = clock
-                    hits += 1
-                    line_ready[line] = hit_ready
-                    if hit_ready > ready_at:
-                        ready_at = hit_ready
-                    continue
-                l1i._clock = clock
-                l1i.accesses += hits
-                hierarchy.l1i_demand_accesses += hits
-                hits = 0
-                result = fetch(line, cycle)
-                clock = l1i._clock
-                if result.stalled_mshr:
-                    entry.deferred_lines.extend(lines[i:])
-                    entry.ready_at = ready_at
-                    return
-                ready = result.ready_cycle
-                line_ready[line] = ready
-                if ready > ready_at:
-                    ready_at = ready
-                if result.l1_miss:
-                    entry.missed_lines.append(line)
-                elif result.pending_hit:
-                    entry.pending_lines.append(line)
-            l1i._clock = clock
-            l1i.accesses += hits
-            hierarchy.l1i_demand_accesses += hits
-            entry.ready_at = ready_at
-            return
-        for i, line in enumerate(lines):
-            result = fetch(line, cycle)
-            if result.stalled_mshr:
-                entry.deferred_lines.extend(lines[i:])
-                entry.ready_at = ready_at
-                return
-            ready = result.ready_cycle
-            line_ready[line] = ready
-            if ready > ready_at:
-                ready_at = ready
-            if result.l1_miss:
-                entry.missed_lines.append(line)
-            elif result.pending_hit:
-                entry.pending_lines.append(line)
-        entry.ready_at = ready_at
-
-    def _finish_enqueue(self, entry: FTQEntry, cycle: int) -> None:
-        since = self._entries_since_resteer + 1
-        self._entries_since_resteer = since
-        entry.entries_since_resteer = since
-        entry.resteer_kind = self._last_resteer_kind
-        entry.resteer_trigger_line = self._last_resteer_trigger
-        # inlined FTQ.push — _iag_fill already checked capacity
-        ftq = self.ftq
-        ftq._q.append(entry)
-        ftq.enqueues += 1
-        block = entry.block
-        observe = self._observe_branch
-        # inlined block.is_branch / line_of(block.branch_pc)
-        if (observe is not None and block.kind is not _FALLTHROUGH
-                and (entry.taken or entry.is_wrong_path)):
-            observe((block.addr + (block.num_instructions - 1)
-                     * INSTRUCTION_SIZE) >> LINE_SHIFT)
-        self.prefetcher.on_ftq_enqueue(entry, cycle)
 
     # ==================================================================
     # stage 4: decode
@@ -639,7 +636,6 @@ class Machine:
                 return
             deferred.pop(0)
             ready = result.ready_cycle
-            head.line_ready[line] = ready
             if ready > head.ready_at:
                 head.ready_at = ready
             if result.l1_miss:

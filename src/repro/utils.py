@@ -13,9 +13,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import random
 import signal
 import sys
+import threading
+import time
 
 #: ``@dataclass(**SLOTTED)`` gives hot-path record classes ``__slots__``
 #: (faster attribute access, no per-instance ``__dict__``) on Python
@@ -144,7 +148,32 @@ def pool_child_init() -> None:
     ``repro.simulator`` can install it too without breaking the
     layering DAG; the ``pool-child-init`` lint rule requires it at
     every ``ProcessPoolExecutor`` construction site.
+
+    A SIGKILLed parent cannot take its children down, and a forked child
+    would otherwise run on with PPID 1 (still holding the parent's store
+    and sockets), so a daemon thread exits the child once its parent
+    is gone.
     """
     signal.set_wakeup_fd(-1)
     for sig in (signal.SIGTERM, signal.SIGINT):
         signal.signal(sig, signal.SIG_DFL)
+    threading.Thread(target=_exit_when_orphaned,
+                     args=(os.getppid(), multiprocessing.parent_process()),
+                     name="orphan-watch", daemon=True).start()
+
+
+#: seconds between a pool child's checks that its parent is alive
+ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(ppid: int, owner) -> None:
+    """Poll until the pool's owner is gone, then exit at once.
+
+    Two checks, because neither covers every start method: a forked or
+    spawned child is re-parented when its owner dies (``os.getppid()``
+    changes), while a forkserver child's OS parent is the fork server,
+    so there only the owner's sentinel (``owner.is_alive()``) tells.
+    """
+    while os.getppid() == ppid and (owner is None or owner.is_alive()):
+        time.sleep(ORPHAN_POLL_S)
+    os._exit(1)

@@ -23,14 +23,21 @@ Builds a :class:`~repro.workloads.layout.CodeLayout` from a
   trip count and cascades exponentially.
 * Functions are placed at shuffled addresses with small gaps, so hot code
   is spread across the address space like a real binary.
+
+Weighted draws (callee picks and indirect-site target patterns) take one
+``rng.random()`` and ``bisect_left`` it into the cumulative weight tuple:
+the first index whose cumulative weight reaches the draw, exactly what a
+linear scan returns, in O(log n) instead of O(n) — cassandra's leaf and
+tier tables hold hundreds of entries.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
-from repro.utils import LINE_SIZE, derive_rng
+from repro.utils import INSTRUCTION_SIZE, LINE_SIZE, derive_rng
 from repro.workloads.layout import BasicBlock, BranchKind, CodeLayout, Function
 from repro.workloads.profiles import WorkloadProfile
 
@@ -60,11 +67,12 @@ def _cumulative(weights: Sequence[float]) -> Tuple[float, ...]:
 
 
 def _pick(rng: random.Random, items: Sequence[int], cum: Sequence[float]) -> int:
-    u = rng.random()
-    for item, c in zip(items, cum):
-        if u <= c:
-            return item
-    return items[-1]
+    """The first item whose cumulative weight is >= one uniform draw.
+
+    ``cum`` ends at exactly 1.0 (see :func:`_cumulative`) and the draw is
+    below 1.0, so the bisect never runs off the end.
+    """
+    return items[bisect_left(cum, rng.random())]
 
 
 def _draw_bias(profile: WorkloadProfile, rng: random.Random) -> float:
@@ -93,12 +101,8 @@ def _make_pattern(n_targets: int, weights: Sequence[float],
     what history-based predictors like ITTAGE actually capture.
     """
     def draw() -> int:
-        """Weighted target-index draw."""
-        u = rng.random()
-        for i, c in enumerate(weights):
-            if u <= c:
-                return i
-        return n_targets - 1
+        """Weighted target-index draw (``weights`` is cumulative)."""
+        return bisect_left(weights, rng.random())
 
     if n_targets == 1 or rng.random() < mono_frac:
         return (draw(),)
@@ -119,13 +123,6 @@ def _make_pattern(n_targets: int, weights: Sequence[float],
         if second not in (dominant, excursion):
             pattern.append(second)
     return tuple(pattern)
-
-
-def _block_len(profile: WorkloadProfile, rng: random.Random) -> int:
-    """Sample a basic-block length (instructions), geometric-ish around the mean."""
-    mean = profile.mean_instructions_per_block
-    n = 1 + int(rng.expovariate(1.0 / max(mean - 1, 1)))
-    return min(n, profile.max_instructions_per_block)
 
 
 class _CalleeDirectory:
@@ -219,11 +216,17 @@ class _FunctionBuilder:
         blocks = self.layout.blocks
         profile = self.profile
         rng = self.rng
+        rng_random = rng.random
         first_bid = len(blocks)
         bids = list(range(first_bid, first_bid + num_blocks))
+        # block lengths: geometric-ish around the profile mean
+        expovariate = rng.expovariate
+        rate = 1.0 / max(profile.mean_instructions_per_block - 1, 1)
+        cap = profile.max_instructions_per_block
         for bid in bids:
+            n = 1 + int(expovariate(rate))
             blocks.append(BasicBlock(bid=bid, addr=0,
-                                     num_instructions=_block_len(profile, rng),
+                                     num_instructions=n if n < cap else cap,
                                      fid=fid))
         # Choose which interior blocks are call sites. The first site is
         # pinned to block 0 so every invocation of a non-leaf function
@@ -239,30 +242,35 @@ class _FunctionBuilder:
             if extra > 0:
                 call_idxs.update(rng.sample(rest, extra))
 
+        # cumulative terminator thresholds, summed in the draw's order
+        p_cond = profile.p_cond
+        p_indirect = p_cond + profile.p_indirect
+        p_direct = p_indirect + profile.p_direct
+        last = num_blocks - 1
+        make_call = self._make_call
+        make_cond = self._make_cond
         for i, bid in enumerate(bids):
             block = blocks[bid]
-            if i == num_blocks - 1:
+            if i == last:
                 block.kind = BranchKind.RETURN
                 block.fallthrough = None
                 continue
             block.fallthrough = bids[i + 1]
             if i in call_idxs:
-                self._make_call(block)
+                make_call(block)
                 continue
-            u = rng.random()
-            p = profile.p_cond
-            if u < p:
-                self._make_cond(block, bids, i)
+            u = rng_random()
+            if u < p_cond:
+                make_cond(block, bids, i)
                 continue
-            p += profile.p_indirect
-            if u < p and i + 2 < num_blocks:
+            interior = i + 2 < num_blocks
+            if u < p_indirect and interior:
                 self._make_indirect(block, bids, i)
                 continue
-            p += profile.p_direct
-            if u < p and i + 2 < num_blocks:
+            if u < p_direct and interior:
                 block.kind = BranchKind.DIRECT
                 block.taken_target = bids[rng.randint(i + 1,
-                                                      min(i + 3, num_blocks - 1))]
+                                                      min(i + 3, last))]
                 continue
             block.kind = BranchKind.FALLTHROUGH
         return Function(fid=fid, name=name, entry=bids[0], blocks=bids)
@@ -390,13 +398,15 @@ def generate_layout(profile: WorkloadProfile, seed: int = 0) -> CodeLayout:
     # Fix-up pass: CALL/INDIRECT_CALL targets were recorded as function ids
     # while the callee functions were still being built; convert them to the
     # callee entry block ids now that every function exists.
+    entries = [func.entry for func in layout.functions]
+    call, indirect_call = BranchKind.CALL, BranchKind.INDIRECT_CALL
     for block in layout.blocks:
-        if block.kind is BranchKind.CALL:
-            block.taken_target = layout.functions[block.taken_target].entry
-        elif block.kind is BranchKind.INDIRECT_CALL:
+        kind = block.kind
+        if kind is call:
+            block.taken_target = entries[block.taken_target]
+        elif kind is indirect_call:
             block.indirect_targets = tuple(
-                layout.functions[f].entry for f in block.indirect_targets
-            )
+                entries[f] for f in block.indirect_targets)
 
     _place(layout, rng)
     layout.validate()
@@ -408,12 +418,12 @@ def _place(layout: CodeLayout, rng: random.Random) -> None:
     order = list(range(len(layout.functions)))
     rng.shuffle(order)
     addr = TEXT_BASE
+    blocks = layout.blocks
     for fid in order:
-        func = layout.functions[fid]
-        for bid in func.blocks:
-            block = layout.blocks[bid]
+        for bid in layout.functions[fid].blocks:
+            block = blocks[bid]
             block.addr = addr
-            addr += block.size_bytes
+            addr += block.num_instructions * INSTRUCTION_SIZE  # size_bytes
         # pad to a line boundary plus a random small gap
         addr = ((addr + LINE_SIZE - 1) // LINE_SIZE) * LINE_SIZE
         addr += LINE_SIZE * rng.randint(0, 2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.utils import INSTRUCTION_SIZE, lines_spanned
+from repro.utils import INSTRUCTION_SIZE, SLOTTED, lines_spanned
 
 
 class BranchKind(Enum):
@@ -42,12 +42,14 @@ TAKEN_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class BasicBlock:
     """One straight-line run of instructions ending in a control transfer.
 
     Addresses are byte addresses; every instruction is
-    :data:`repro.utils.INSTRUCTION_SIZE` bytes.
+    :data:`repro.utils.INSTRUCTION_SIZE` bytes. Slotted (no per-instance
+    ``__dict__``): the runner's layout memo can hold a dozen layouts of
+    up to ~16K blocks each.
     """
 
     bid: int
@@ -185,20 +187,26 @@ class CodeLayout:
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
+        nblocks = len(self.blocks)
+        cond = BranchKind.COND
+        indirect_kinds = (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL)
         for block in self.blocks:
             if block.num_instructions <= 0:
                 raise ValueError("block %d has no instructions" % block.bid)
-            for succ in (block.taken_target, block.fallthrough):
-                if succ is not None and not (0 <= succ < len(self.blocks)):
+            taken = block.taken_target
+            fallthrough = block.fallthrough
+            for succ in (taken, fallthrough):
+                if succ is not None and not (0 <= succ < nblocks):
                     raise ValueError(
                         "block %d successor %r out of range" % (block.bid, succ)
                     )
-            if block.kind is BranchKind.COND:
-                if block.taken_target is None or block.fallthrough is None:
+            kind = block.kind
+            if kind is cond:
+                if taken is None or fallthrough is None:
                     raise ValueError("COND block %d missing successor" % block.bid)
                 if not 0.0 <= block.taken_bias <= 1.0:
                     raise ValueError("COND block %d bias out of range" % block.bid)
-            if block.kind in (BranchKind.INDIRECT, BranchKind.INDIRECT_CALL):
+            elif kind in indirect_kinds:
                 if not block.indirect_targets:
                     raise ValueError(
                         "indirect block %d has no targets" % block.bid

@@ -66,6 +66,31 @@ def _read_port(proc: subprocess.Popen, what: str) -> int:
     return int(match.group(1))
 
 
+def processes_naming(text: str) -> List[int]:
+    """PIDs of live processes whose command line contains ``text``.
+
+    Reads ``/proc`` (empty on hosts without it). Zombies have an empty
+    command line, so an exited but unreaped child does not count.
+    """
+    pids = []
+    try:
+        entries = os.listdir("/proc")
+    except OSError:
+        return pids
+    for entry in entries:
+        if not entry.isdigit():
+            continue
+        try:
+            with open("/proc/%s/cmdline" % entry, "rb") as fh:
+                cmdline = fh.read().replace(b"\0", b" ").decode(
+                    "utf-8", "replace")
+        except OSError:
+            continue  # exited meanwhile, or not ours to read
+        if text in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
 @dataclass
 class WorkerProc:
     """One worker subprocess and where its store shard lives."""
@@ -205,10 +230,22 @@ class Cluster:
     # chaos levers
     # ------------------------------------------------------------------
     def kill(self, name: str) -> None:
-        """SIGKILL a worker: machine death, nothing gets to clean up."""
+        """SIGKILL a worker: machine death, nothing gets to clean up.
+
+        Its forked pool children must not outlive it: they carry the
+        worker's command line (and so its shard path), and must be gone
+        within a few seconds of the kill.
+        """
         worker = self.workers[name]
         worker.proc.kill()
         worker.proc.wait(timeout=30)
+        shard = str(worker.store_root)
+        deadline = time.monotonic() + 5.0
+        while processes_naming(shard) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = processes_naming(shard)
+        assert not left, ("processes %r outlived SIGKILLed worker %s"
+                          % (left, name))
 
     def terminate(self, name: str) -> int:
         """SIGTERM a worker: graceful drain; returns its exit code."""

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.frontend.ftq import FTQ, FTQEntry
+from repro.simulator.machine import Machine
+from repro.workloads.generator import generate_layout
 from repro.workloads.layout import BasicBlock, BranchKind
+from repro.workloads.profiles import WorkloadProfile
 
 
 def entry(bid=0, cycle=0, lines=None):
@@ -57,14 +60,26 @@ class TestFTQ:
 
 
 class TestFTQEntry:
-    def test_ready_cycle_without_fills(self):
+    def test_ready_at_starts_at_enqueue_cycle(self):
         e = entry(cycle=7)
-        assert e.ready_cycle == 7
+        assert e.ready_at == 7
 
-    def test_ready_cycle_is_max_of_lines(self):
-        e = entry(cycle=0)
-        e.line_ready = {10: 5, 11: 42, 12: 17}
-        assert e.ready_cycle == 42
+    def test_ready_at_is_latest_line_fill(self):
+        """The machine's FTQ fill leaves ``ready_at`` at the latest fill
+        among the entry's fetched lines: the cycle decode waits for."""
+        profile = WorkloadProfile(name="ftq-ready-test", num_functions=40,
+                                  num_handlers=6, num_leaves=8, call_depth=3)
+        machine = Machine(generate_layout(profile, seed=1), profile, seed=1)
+        for _ in range(8):
+            machine._iag_fill(0)  # cold L1-I: every first touch misses
+        l1i = machine.hierarchy.l1i
+        entries = list(machine.ftq)
+        assert len(entries) > 1
+        assert any(e.missed_lines for e in entries)
+        for e in entries:
+            fetched = [ln for ln in e.lines if ln not in e.deferred_lines]
+            fills = [l1i.get_state(ln).ready_cycle for ln in fetched]
+            assert e.ready_at == max([e.enqueue_cycle] + fills)
 
     def test_incurred_miss(self):
         e = entry()

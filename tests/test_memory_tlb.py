@@ -89,3 +89,36 @@ class TestHierarchyIntegration:
         stats = machine.run(4000, warmup=800)
         assert machine.hierarchy.itlb.accesses > 0
         assert stats.instructions >= 4000
+
+
+#: full stats of one iTLB cell (tatp/eip_46, 16-entry iTLB, seed 2,
+#: 15000 + 3000 instructions). No other golden enables the iTLB, whose
+#: walks send every FDIP line through ``fetch_instruction`` instead of
+#: the batched ready-hit path.
+ITLB_GOLDEN = {
+    'cycles': 20052, 'decode_starvation_cycles': 8129, 'extra': {},
+    'fec_covered_events': 1, 'fec_distinct_lines': 58, 'fec_events': 52,
+    'fec_high_cost_backend_events': 38, 'fec_high_cost_events': 64,
+    'fec_starvation_cycles': 6289, 'instructions': 15003,
+    'l1i_accesses': 12993, 'l1i_misses': 300, 'l2_data_misses': 1262,
+    'l2_inst_misses': 174, 'l3_misses': 1433, 'pdip_inserts': 0,
+    'pdip_triggers_last_taken': 0, 'pdip_triggers_mispredict': 0,
+    'prefetch_late': 10, 'prefetch_useful': 26, 'prefetch_useless': 4,
+    'prefetches_dropped': 0, 'prefetches_issued': 45, 'resteers': 283,
+    'resteers_btb_miss': 146, 'resteers_cond': 122, 'resteers_indirect': 15,
+    'resteers_return': 0, 'retired_distinct_lines': 213,
+    'slots_backend_bound': 116196, 'slots_bad_speculation': 11251,
+    'slots_frontend_bound': 98118, 'slots_retiring': 15059,
+    'slots_total': 240624, 'wrong_path_blocks': 7952,
+}
+
+
+def test_itlb_cell_golden_stats():
+    from repro.simulator.config import MachineConfig
+    from repro.simulator.runner import run_benchmark
+
+    cfg = MachineConfig(hierarchy=HierarchyConfig(itlb_enabled=True,
+                                                  itlb_entries=16))
+    stats = run_benchmark("tatp", "eip_46", instructions=15000, warmup=3000,
+                          seed=2, config=cfg, use_cache=False)
+    assert stats.to_dict() == ITLB_GOLDEN
